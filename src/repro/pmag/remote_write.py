@@ -72,6 +72,7 @@ import base64
 import struct
 import zlib
 from collections import deque
+from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError, WalError
@@ -80,7 +81,11 @@ from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
 from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import StorageEngine
-from repro.pmag.wal import MAX_RECORD_BYTES, _pack_text
+from repro.pmag.wal import (
+    MAX_RECORD_BYTES,
+    decode_label_block,
+    encode_label_block,
+)
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
 
@@ -145,10 +150,22 @@ def build_ship_filter(
     return ship
 
 
+_U32 = struct.Struct("<I")
+_BLOCK_HEADER = struct.Struct("<II")
+_SAMPLE = struct.Struct("<qd")
+
+#: Client-side memo: labels -> (block prefix ``u32 fingerprint | label
+#: block``, crc32 of that prefix).
+PrefixMemo = Dict[Labels, Tuple[bytes, int]]
+#: Receiver-side memo: a block's first 8 bytes (fingerprint + label
+#: count) -> (the label-pair bytes that followed them, decoded labels).
+LabelMemo = Dict[bytes, Tuple[bytes, Labels]]
+
+
 def encode_frame(
     sender: str, epoch: int, seq: int,
     entries: List[Tuple[Labels, int, float]],
-    fingerprints: Optional[Dict[Labels, int]] = None,
+    prefixes: Optional[PrefixMemo] = None,
 ) -> str:
     """One batched, compressed, shard-partitioned frame as an HTTP body.
 
@@ -167,44 +184,45 @@ def encode_frame(
     on-the-wire integrity story of the on-disk log.  ``epoch``
     identifies the sender *incarnation* (a recovered monitor gets a
     fresh, strictly larger one), ``seq`` orders frames within it.
-    ``fingerprints`` is an optional cross-frame fingerprint memo.
+
+    ``prefixes`` is an optional cross-frame memo of each series' block
+    prefix (fingerprint + label block) and its CRC32: a warm series
+    costs only its sample tail, and the block CRC is the tail's CRC
+    continued from the prefix's, so the bytes are identical to packing
+    every block from scratch.
     """
     if not sender or any(c in sender for c in " \n"):
         raise WalError(f"sender not wire-safe: {sender!r}")
-    groups: Dict[Labels, List[Tuple[int, float]]] = {}
+    groups: Dict[Labels, List[bytes]] = {}
+    pack_sample = _SAMPLE.pack
     for labels, time_ns, value in entries:
         bucket = groups.get(labels)
         if bucket is None:
             groups[labels] = bucket = []
-        bucket.append((time_ns, value))
-    if fingerprints is None:
-        fingerprints = {}
+        bucket.append(pack_sample(time_ns, value))
+    if prefixes is None:
+        prefixes = {}
     pieces: List[bytes] = []
     for labels, samples in groups.items():
-        fingerprint = fingerprints.get(labels)
-        if fingerprint is None:
-            fingerprint = series_fingerprint(labels)
-            fingerprints[labels] = fingerprint
-        items = labels.items()
-        parts = [struct.pack("<II", fingerprint, len(items))]
-        for key, value in items:
-            parts.append(_pack_text(key))
-            parts.append(_pack_text(value))
-        parts.append(struct.pack("<I", len(samples)))
-        parts.append(b"".join(
-            struct.pack("<qd", time_ns, value) for time_ns, value in samples
-        ))
-        block = b"".join(parts)
-        if len(block) > MAX_RECORD_BYTES:
-            raise WalError(f"series block too large: {len(block)} bytes")
-        pieces.append(struct.pack("<II", len(block), zlib.crc32(block)))
-        pieces.append(block)
+        entry = prefixes.get(labels)
+        if entry is None:
+            prefix = (_U32.pack(series_fingerprint(labels))
+                      + encode_label_block(labels))
+            entry = prefixes[labels] = (prefix, zlib.crc32(prefix))
+        prefix, prefix_crc = entry
+        tail = _U32.pack(len(samples)) + b"".join(samples)
+        length = len(prefix) + len(tail)
+        if length > MAX_RECORD_BYTES:
+            raise WalError(f"series block too large: {length} bytes")
+        pieces.append(_BLOCK_HEADER.pack(length, zlib.crc32(tail, prefix_crc)))
+        pieces.append(prefix)
+        pieces.append(tail)
     body = base64.b64encode(zlib.compress(b"".join(pieces), 6)).decode("ascii")
     return f"{FRAME_MAGIC} {sender} {epoch} {seq} {len(entries)}\n{body}"
 
 
 def decode_frame_blocks(
-    text: str,
+    text: str, labels_memo: Optional[LabelMemo] = None,
 ) -> Tuple[str, int, int, List[Tuple[int, Labels, List[Tuple[int, float]]]]]:
     """Inverse of :func:`encode_frame`, keeping the per-series shape.
 
@@ -212,6 +230,13 @@ def decode_frame_blocks(
     ``(fingerprint, labels, [(time_ns, value), ...])`` — the unit the
     sharded ingest path routes.  Raises :class:`WalError` on any
     framing, CRC, count or compression damage.
+
+    ``labels_memo`` is an optional cross-frame memo keyed by a block's
+    first 8 bytes.  Every block passes its length and CRC checks first;
+    a memo entry is then used only if the block continues with exactly
+    the label bytes it was parsed from, so a hit yields the labels a
+    full parse would — anything else (a collision, a damaged label) is
+    parsed in full and refreshes the entry.
     """
     header, sep, body = text.partition("\n")
     pieces = header.split()
@@ -228,6 +253,8 @@ def decode_frame_blocks(
         payload = zlib.decompress(base64.b64decode(body.encode("ascii")))
     except Exception as exc:  # noqa: BLE001 - any transport damage
         raise WalError(f"undecodable frame payload: {exc}") from exc
+    if labels_memo is None:
+        labels_memo = {}
     blocks: List[Tuple[int, Labels, List[Tuple[int, float]]]] = []
     total = 0
     pos = 0
@@ -235,7 +262,7 @@ def decode_frame_blocks(
     while pos < size:
         if size - pos < 8:
             raise WalError("truncated block frame in remote-write payload")
-        length, crc = struct.unpack_from("<II", payload, pos)
+        length, crc = _BLOCK_HEADER.unpack_from(payload, pos)
         if not 0 < length <= MAX_RECORD_BYTES:
             raise WalError(f"implausible block length: {length}")
         block = payload[pos + 8:pos + 8 + length]
@@ -244,29 +271,23 @@ def decode_frame_blocks(
         if zlib.crc32(block) != crc:
             raise WalError("block CRC mismatch in remote-write frame")
         try:
-            fingerprint, label_count = struct.unpack_from("<II", block, 0)
-            offset = 8
-            mapping = {}
-            for _ in range(label_count):
-                (key_len,) = struct.unpack_from("<H", block, offset)
-                offset += 2
-                key = block[offset:offset + key_len].decode("utf-8")
-                offset += key_len
-                (val_len,) = struct.unpack_from("<H", block, offset)
-                offset += 2
-                mapping[key] = block[offset:offset + val_len].decode("utf-8")
-                offset += val_len
-            (sample_count,) = struct.unpack_from("<I", block, offset)
+            key = block[:8]
+            (fingerprint,) = _U32.unpack_from(key)
+            entry = labels_memo.get(key)
+            if entry is not None and block.startswith(entry[0], 8):
+                labels = entry[1]
+                offset = 8 + len(entry[0])
+            else:
+                labels, offset = decode_label_block(block, 4)
+                labels_memo[key] = (block[8:offset], labels)
+            (sample_count,) = _U32.unpack_from(block, offset)
             offset += 4
             if offset + 16 * sample_count != length:
                 raise WalError("block sample region length mismatch")
-            samples = [
-                struct.unpack_from("<qd", block, offset + 16 * index)
-                for index in range(sample_count)
-            ]
+            samples = list(_SAMPLE.iter_unpack(block[offset:]))
         except (struct.error, UnicodeDecodeError) as exc:
             raise WalError(f"malformed series block: {exc}") from exc
-        blocks.append((fingerprint, Labels(mapping), samples))
+        blocks.append((fingerprint, labels, samples))
         total += sample_count
         pos += 8 + length
     if total != count:
@@ -352,6 +373,9 @@ class RemoteWriteReceiver:
         #: ``teemon_federation_lag_seconds`` gauge).
         self._newest_applied: Dict[str, int] = {}
         self._relay_clients: List["RemoteWriteClient"] = []
+        #: Cross-frame label memo for :func:`decode_frame_blocks`,
+        #: cleared once it outgrows twice the local series count.
+        self._labels_memo: LabelMemo = {}
         self._endpoint = None
         self._host: Optional[str] = None
         self.frames_received = 0
@@ -405,14 +429,20 @@ class RemoteWriteReceiver:
     def handle(self, body: str) -> str:
         """Apply one frame; returns the ack line the client parses.
 
-        A malformed frame — or one claiming this receiver's own sender
-        identity, the federation-loop guard — raises (the transport
-        turns that into a 500; a loop frame failing forever is the
-        correct outcome, the topology is mis-wired).
+        A malformed frame — one claiming this receiver's own sender
+        identity (the federation-loop guard), or one whose block
+        fingerprint the storage engine refuses — is counted in
+        :attr:`frames_rejected` and raises (the transport turns that
+        into a 500; a loop frame failing forever is the correct outcome,
+        the topology is mis-wired).  Every received frame is thus
+        exactly one of applied, replayed or rejected.
         """
         self.frames_received += 1
+        memo = self._labels_memo
+        if len(memo) > 2 * self._tsdb.series_count():
+            memo.clear()
         try:
-            sender, epoch, seq, blocks = decode_frame_blocks(body)
+            sender, epoch, seq, blocks = decode_frame_blocks(body, memo)
         except WalError:
             self.frames_rejected += 1
             raise
@@ -428,7 +458,11 @@ class RemoteWriteReceiver:
             self.frames_replayed += 1
             self.replay_dedup_hits += total
             return f"ack {seq} replayed={total}"
-        rejected = self._ingest(blocks) if total else 0
+        try:
+            rejected = self._ingest(blocks) if total else 0
+        except TsdbError:
+            self.frames_rejected += 1
+            raise
         applied = total - rejected
         self.samples_applied += applied
         self.samples_deduped += rejected
@@ -654,8 +688,9 @@ class RemoteWriteClient:
         #: Sequence of the last frame built / last frame acked.
         self._seq = 0
         self.acked_seq = 0
-        #: Cross-frame fingerprint memo for the v3 encoder.
-        self._fingerprints: Dict[Labels, int] = {}
+        #: Cross-frame block-prefix memo for :func:`encode_frame`,
+        #: cleared once it outgrows twice the local series count.
+        self._prefixes: PrefixMemo = {}
         self.frames_sent = 0
         self.frames_acked = 0
         self.frames_dropped = 0
@@ -750,11 +785,10 @@ class RemoteWriteClient:
         # Window is (collected, now]: select is inclusive on both ends,
         # so the left edge is nudged one ns past the last collected stamp.
         ship = self.ship_filter
-        for series in self._tsdb.select([], self._collected_ns + 1, now_ns):
-            if ship is not None and not ship(series.labels):
-                continue
-            for sample in series.samples:
-                entries.append((series.labels, sample.time_ns, sample.value))
+        for labels, times, values in self._tsdb.select_arrays(
+                [], self._collected_ns + 1, now_ns):
+            if ship is None or ship(labels):
+                entries.extend(zip(repeat(labels), times, values))
         self._collected_ns = now_ns
         if not entries:
             return 0
@@ -797,8 +831,10 @@ class RemoteWriteClient:
         """One delivery try; schedules a retry (or gives up) on failure."""
         frame.attempts += 1
         self.frames_sent += 1
+        if len(self._prefixes) > 2 * self._tsdb.series_count():
+            self._prefixes.clear()
         body = encode_frame(self.source, self.epoch, frame.seq, frame.entries,
-                            self._fingerprints)
+                            self._prefixes)
         response = self._network.post_url(self.url, body)
         latency_s = getattr(response, "latency_s", 0.0)
         ok = (

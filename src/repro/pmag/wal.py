@@ -70,6 +70,10 @@ RECORD_SAMPLE = 1
 RECORD_CURSOR = 2
 
 
+_U32 = struct.Struct("<I")
+_SAMPLE = struct.Struct("<qd")
+
+
 def _pack_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
@@ -77,78 +81,90 @@ def _pack_text(text: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def encode_record(labels: Labels, time_ns: int, value: float) -> bytes:
-    """One framed WAL record (length prefix + CRC32 + payload)."""
+def encode_label_block(labels: Labels) -> bytes:
+    """The one label-set encoding: ``u32 count | (u16-len key | u16-len
+    value)*``, pairs sorted by key.
+
+    WAL records (after a kind byte) and remote-write series blocks
+    (after a u32 fingerprint) both embed exactly these bytes, and both
+    cache them per label set, so a series' labels are packed once per
+    cache lifetime.
+    """
     items = labels.items()
-    pieces: List[bytes] = [struct.pack("<BI", RECORD_SAMPLE, len(items))]
+    pieces: List[bytes] = [_U32.pack(len(items))]
     for key, val in items:
         pieces.append(_pack_text(key))
         pieces.append(_pack_text(val))
-    pieces.append(struct.pack("<qd", time_ns, value))
-    payload = b"".join(pieces)
-    if len(payload) > MAX_RECORD_BYTES:
-        raise WalError(f"record payload too large: {len(payload)} bytes")
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return b"".join(pieces)
+
+
+def decode_label_block(buf: bytes, offset: int) -> Tuple[Labels, int]:
+    """Parse an :func:`encode_label_block` region starting at ``offset``.
+
+    Returns the labels and the offset just past the region.  Raises
+    :class:`WalError` on truncated text; ``struct.error`` and
+    ``UnicodeDecodeError`` propagate for the caller to wrap.
+    """
+    (label_count,) = _U32.unpack_from(buf, offset)
+    offset += 4
+    size = len(buf)
+    mapping = {}
+    for _ in range(label_count):
+        (length,) = struct.unpack_from("<H", buf, offset)
+        offset += 2
+        if offset + length > size:
+            raise WalError("truncated label text")
+        key = buf[offset:offset + length].decode("utf-8")
+        offset += length
+        (length,) = struct.unpack_from("<H", buf, offset)
+        offset += 2
+        if offset + length > size:
+            raise WalError("truncated label text")
+        mapping[key] = buf[offset:offset + length].decode("utf-8")
+        offset += length
+    return Labels(mapping), offset
 
 
 def encode_record_cached(
     labels: Labels, time_ns: int, value: float,
     cache: Dict[Labels, Tuple[bytes, int, bytes]],
 ) -> bytes:
-    """:func:`encode_record` with a label-prefix memo.
+    """One framed WAL record (length prefix + CRC32 + payload).
 
-    A batch encodes many samples of few distinct series; the label block
-    of a record (everything before the trailing time+value) depends only
-    on the label set, so it — and its partial CRC — is computed once per
-    distinct ``labels`` and reused.  Byte-identical to
-    :func:`encode_record`.
+    The label block of a record (everything before the trailing
+    time+value) depends only on the label set, so it — with its partial
+    CRC and the record's length prefix — is computed once per distinct
+    ``labels`` and kept in ``cache``.  The CRC of the whole payload is
+    the CRC of the tail continued from the prefix's, so the record is
+    byte-identical to packing it from scratch.
     """
     entry = cache.get(labels)
     if entry is None:
-        items = labels.items()
-        pieces: List[bytes] = [struct.pack("<BI", RECORD_SAMPLE, len(items))]
-        for key, val in items:
-            pieces.append(_pack_text(key))
-            pieces.append(_pack_text(val))
-        prefix = b"".join(pieces)
+        prefix = struct.pack("<B", RECORD_SAMPLE) + encode_label_block(labels)
         if len(prefix) + 16 > MAX_RECORD_BYTES:
             raise WalError(
                 f"record payload too large: {len(prefix) + 16} bytes"
             )
-        entry = (prefix, zlib.crc32(prefix),
-                 struct.pack("<I", len(prefix) + 16))
+        entry = (prefix, zlib.crc32(prefix), _U32.pack(len(prefix) + 16))
         cache[labels] = entry
     prefix, prefix_crc, length_bytes = entry
-    tail = struct.pack("<qd", time_ns, value)
-    return (length_bytes + struct.pack("<I", zlib.crc32(tail, prefix_crc))
-            + prefix + tail)
+    tail = _SAMPLE.pack(time_ns, value)
+    return length_bytes + _U32.pack(zlib.crc32(tail, prefix_crc)) + prefix + tail
 
 
 def decode_payload(payload: bytes) -> Tuple[Labels, int, float]:
     """Parse a record payload back into (labels, time_ns, value)."""
     try:
-        kind, label_count = struct.unpack_from("<BI", payload, 0)
+        (kind,) = struct.unpack_from("<B", payload, 0)
         if kind != RECORD_SAMPLE:
             raise WalError(f"unknown record kind: {kind}")
-        offset = 5
-        mapping = {}
-        for _ in range(label_count):
-            for _part in range(2):
-                (length,) = struct.unpack_from("<H", payload, offset)
-                offset += 2
-                if offset + length > len(payload):
-                    raise WalError("truncated label text")
-                if _part == 0:
-                    key = payload[offset:offset + length].decode("utf-8")
-                else:
-                    mapping[key] = payload[offset:offset + length].decode("utf-8")
-                offset += length
-        time_ns, value = struct.unpack_from("<qd", payload, offset)
+        labels, offset = decode_label_block(payload, 1)
+        time_ns, value = _SAMPLE.unpack_from(payload, offset)
         if offset + 16 != len(payload):
             raise WalError("trailing bytes in record payload")
     except (struct.error, UnicodeDecodeError) as exc:
         raise WalError(f"malformed record payload: {exc}") from exc
-    return Labels(mapping), time_ns, value
+    return labels, time_ns, value
 
 
 def encode_cursor_record(key: str, cursor_ns: int) -> bytes:
@@ -258,6 +274,10 @@ class WalWriter:
         self.segments_total = 0
         self.unflushed_records = 0
         self._segment_records = 0
+        #: Per-series record prefixes (see :func:`encode_record_cached`),
+        #: reset at every checkpoint so the memo never outlives the
+        #: series retention removes.
+        self._prefixes: Dict[Labels, Tuple[bytes, int, bytes]] = {}
         #: Latest cursor per key; re-emitted into the fresh segment on
         #: every checkpoint so truncation never drops cursor durability.
         self._cursors: dict = {}
@@ -302,7 +322,8 @@ class WalWriter:
     # ------------------------------------------------------------------
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
         """Write one accepted sample through to the live segment."""
-        self.disk.append(self._segment, encode_record(labels, time_ns, value))
+        self.disk.append(self._segment, encode_record_cached(
+            labels, time_ns, value, self._prefixes))
         self.records_total += 1
         self.unflushed_records += 1
         self._segment_records += 1
@@ -312,35 +333,44 @@ class WalWriter:
             self.flush()
             self._open_segment()
 
-    def append_many(self, entries) -> None:
+    def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
         """Write a batch of accepted ``(labels, time_ns, value)`` samples.
 
-        Byte-for-byte and counter-for-counter equivalent to calling
-        :meth:`append` per sample — flush and rotation decisions fire at
-        exactly the same record boundaries — but consecutive records
-        between those boundaries land in one ``disk.append`` each, so a
-        scrape cycle's write-through costs a handful of disk writes
-        instead of one per sample.
+        Byte-for-byte and counter-for-counter equivalent to appending one
+        sample at a time — flush and rotation decisions fire at exactly
+        the same record boundaries — but the records between two such
+        boundaries land in one ``disk.append``, so a scrape cycle's
+        write-through costs a handful of disk writes instead of one per
+        sample.
         """
-        pending: list = []
-        for labels, time_ns, value in entries:
-            pending.append(encode_record(labels, time_ns, value))
-            self.records_total += 1
-            self.unflushed_records += 1
-            self._segment_records += 1
+        cache = self._prefixes
+        encode = encode_record_cached
+        total = len(entries)
+        pos = 0
+        while pos < total:
+            # Records until the next flush or rotation boundary (at least
+            # one: a cursor frame may already have filled the segment).
+            room = self.segment_max_records - self._segment_records
+            if self.flush_every_records:
+                room = min(room, self.flush_every_records - self.unflushed_records)
+            take = min(max(room, 1), total - pos)
+            self.disk.append(self._segment, b"".join([
+                encode(labels, time_ns, value, cache)
+                for labels, time_ns, value in entries[pos:pos + take]
+            ]))
+            pos += take
+            self.records_total += take
+            self.unflushed_records += take
+            self._segment_records += take
             flush_due = bool(
                 self.flush_every_records
                 and self.unflushed_records >= self.flush_every_records
             )
             rotate_due = self._segment_records >= self.segment_max_records
             if flush_due or rotate_due:
-                self.disk.append(self._segment, b"".join(pending))
-                pending.clear()
                 self.flush()
                 if rotate_due:
                     self._open_segment()
-        if pending:
-            self.disk.append(self._segment, b"".join(pending))
 
     def append_cursor(self, key: str, cursor_ns: int) -> None:
         """Write one materialization-cursor frame to the live segment.
@@ -379,6 +409,7 @@ class WalWriter:
         recoverable history on the medium.
         """
         self.flush()
+        self._prefixes.clear()
         seq = self._next_seq()
         name = checkpoint_name(self.directory, seq)
         self.disk.write(name, archive.snapshot(tsdb))

@@ -1,8 +1,10 @@
 """Remote-write federation tier: framing, dedup, spill, recovery."""
 
+import struct
+
 import pytest
 
-from repro.errors import DeploymentError, WalError
+from repro.errors import DeploymentError, TsdbError, WalError
 from repro.net.http import HttpNetwork
 from repro.pmag.model import Labels
 from repro.pmag.remote_write import (
@@ -21,6 +23,7 @@ from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.kernel import Kernel
 from repro.simkernel.rng import DeterministicRng
 from repro.teemon import MonitorSupervisor, TeemonConfig, deploy
+from tests.codec_reference import reseal_blocks
 
 
 def _entries(count, start_ns=1, metric="m_total", **labels):
@@ -520,6 +523,31 @@ def test_sharded_receiver_ledger_matches_flat_ingest():
     shipped = len(entries) + 30
     assert (sharded.samples_applied + sharded.samples_deduped
             + sharded.replay_dedup_hits) == shipped
+
+
+def test_forged_fingerprint_frame_is_counted_in_the_frame_ledger():
+    # A block whose CRC is valid but whose fingerprint lies about its
+    # labels is refused by the sharded engine; the receiver must count
+    # that frame as rejected so every received frame lands in exactly
+    # one of applied, replayed or rejected.
+    receiver = RemoteWriteReceiver(ShardedTsdb(shards=4))
+    receiver.handle(encode_frame("leaf-0", 0, 1, _entries(3, job="a")))
+
+    def bump_fingerprint(block):
+        (fingerprint,) = struct.unpack_from("<I", block, 0)
+        struct.pack_into("<I", block, 0, (fingerprint + 1) & 0xFFFFFFFF)
+
+    forged = reseal_blocks(
+        encode_frame("leaf-0", 0, 2, _entries(3, job="b")), bump_fingerprint)
+    with pytest.raises(TsdbError):
+        receiver.handle(forged)
+    assert receiver.frames_received == 2
+    assert receiver.frames_rejected == 1
+    assert receiver.frames_received == (
+        receiver.frames_applied + receiver.frames_replayed
+        + receiver.frames_rejected)
+    # The refused frame was not applied: its sequence is still open.
+    assert receiver.last_sequence("leaf-0") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.pmag.wal import (
     WalWriter,
     checkpoint_name,
     decode_payload,
-    encode_record,
     encode_record_cached,
     recover,
     segment_name,
@@ -38,6 +37,7 @@ from repro.pmag.wal import (
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.rng import DeterministicRng
+from tests.codec_reference import encode_record
 
 
 def _labels(i=0):
@@ -131,7 +131,7 @@ def test_disk_list_files_is_sorted_by_prefix():
 # ---------------------------------------------------------------------------
 def test_record_roundtrip():
     labels = Labels.of("m", job="j", zone="eu", a="1")
-    record = encode_record(labels, 12345, -2.5)
+    record = encode_record_cached(labels, 12345, -2.5, {})
     (length,) = struct.unpack_from("<I", record, 0)
     assert length == len(record) - 8
     decoded_labels, time_ns, value = decode_payload(record[8:])
@@ -156,7 +156,7 @@ def test_cached_encoder_is_byte_identical():
 
 
 def test_decode_rejects_malformed_payloads():
-    payload = encode_record(_labels(), 1, 1.0)[8:]
+    payload = encode_record_cached(_labels(), 1, 1.0, {})[8:]
     with pytest.raises(WalError, match="kind"):
         decode_payload(b"\x63" + payload[1:])
     with pytest.raises(WalError):
@@ -167,7 +167,7 @@ def test_decode_rejects_malformed_payloads():
 
 def test_encode_rejects_oversized_components():
     with pytest.raises(WalError, match="too long"):
-        encode_record(Labels.of("m", k="v" * 70_000), 1, 1.0)
+        encode_record_cached(Labels.of("m", k="v" * 70_000), 1, 1.0, {})
 
 
 # ---------------------------------------------------------------------------
