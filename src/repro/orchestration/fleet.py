@@ -25,6 +25,7 @@ Two properties make fleets chaos-testable:
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError, OrchestrationError
@@ -281,11 +282,10 @@ class NodeFleet:
             pending[start:start + batch_size]
             for start in range(0, len(pending), batch_size)
         ]
-        clock = self.cluster.clock
-        interval_ns = int(interval_s * NANOS_PER_SEC)
+        remaining = deque(batches)
 
-        def upgrade_batch(index: int) -> None:
-            for name in batches[index]:
+        def upgrade_batch() -> None:
+            for name in remaining.popleft():
                 pod = self._daemonset.pods_by_node.get(name)
                 if pod is None:
                     continue  # node departed mid-upgrade
@@ -293,13 +293,13 @@ class NodeFleet:
                 self.upgraded += 1
                 self._record("upgrade", name)
             self._daemonset.reconcile(self.cluster)
-            if index + 1 < len(batches):
-                clock.call_later(
-                    interval_ns, lambda: upgrade_batch(index + 1)
-                )
+            if not remaining:
+                timer.cancel()
 
         if batches:
-            clock.call_later(interval_ns, lambda: upgrade_batch(0))
+            timer = self.cluster.clock.every(
+                int(interval_s * NANOS_PER_SEC), upgrade_batch
+            )
         return len(batches)
 
     def versions(self) -> Dict[str, str]:
@@ -356,21 +356,18 @@ class FleetChurner:
         self.max_nodes = max_nodes
         self._rng = fleet._rng.fork("churn")
         self._timer = None
-        self._running = False
         self.events = 0
 
     def start(self) -> None:
         """Begin churning."""
-        if self._running:
+        if self._timer is not None:
             raise OrchestrationError("churner already started")
-        self._running = True
-        self._timer = self.fleet.cluster.clock.call_later(
-            self.interval_ns, self._tick
+        self._timer = self.fleet.cluster.clock.every(
+            self.interval_ns, lambda: self._tick()
         )
 
     def stop(self) -> None:
         """Stop churning (pending reboots still rejoin)."""
-        self._running = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
@@ -392,8 +389,6 @@ class FleetChurner:
         return action
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         fleet = self.fleet
         live = [
             name for name in fleet.node_names()
@@ -409,6 +404,3 @@ class FleetChurner:
                 self._rng.choice(live), downtime_s=self.reboot_downtime_s
             )
         self.events += 1
-        self._timer = fleet.cluster.clock.call_later(
-            self.interval_ns, self._tick
-        )

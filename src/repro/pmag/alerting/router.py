@@ -19,7 +19,7 @@ notification history is byte-comparable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TsdbError
 from repro.net.http import HttpNetwork
@@ -37,7 +37,12 @@ from repro.pmag.alerting.state import (
     canonical_labels,
 )
 from repro.pmag.model import Labels
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import (
+    NANOS_PER_SEC,
+    TimerHandle,
+    VirtualClock,
+    backoff_ns,
+)
 from repro.simkernel.rng import DeterministicRng
 
 #: Notification outcomes counted per receiver (exported as
@@ -178,6 +183,8 @@ class NotificationRouter:
         self._firing: Dict[tuple, Labels] = {}
         self._groups: Dict[Tuple[Route, tuple], _Group] = {}
         self._timers: Dict[Tuple[Route, tuple], object] = {}
+        #: Pending delivery retries, cancelled by :meth:`stop`.
+        self._retry_timers: Set[TimerHandle] = set()
         self._stopped = False
         self.counters: Dict[Tuple[str, str], int] = {}
 
@@ -363,19 +370,19 @@ class NotificationRouter:
             self._count(receiver_name, OUTCOME_DELIVERED)
             return
         if attempt < self.max_retries:
-            delay_s = self.backoff_base_s * (2 ** attempt)
-            if self.backoff_jitter:
-                delay_s *= 1.0 + self.backoff_jitter * (
-                    2.0 * self._rng.random() - 1.0
-                )
             self._count(receiver_name, OUTCOME_RETRY)
-            self._clock.call_later(
-                int(delay_s * NANOS_PER_SEC),
-                lambda: self._retry(
-                    receiver_name, subject, body,
-                    n_firing, n_resolved, attempt + 1,
-                ),
+
+            def retry() -> None:
+                self._retry_timers.discard(handle)
+                self._retry(receiver_name, subject, body,
+                            n_firing, n_resolved, attempt + 1)
+
+            handle = self._clock.call_later(
+                backoff_ns(self.backoff_base_s, attempt,
+                           self.backoff_jitter, self._rng),
+                retry,
             )
+            self._retry_timers.add(handle)
             return
         self.journal.record(
             self._clock.now_ns, "notify-failed", receiver_name,
@@ -385,8 +392,6 @@ class NotificationRouter:
 
     def _retry(self, receiver_name: str, subject: str, body: str,
                n_firing: int, n_resolved: int, attempt: int) -> None:
-        if self._stopped:
-            return
         self.journal.record(
             self._clock.now_ns, "notify-retry", receiver_name,
             f"attempt={attempt}",
@@ -438,11 +443,12 @@ class NotificationRouter:
                     )
 
     def stop(self) -> None:
-        """Cancel all pending flush timers (monitor stop/kill)."""
+        """Cancel all pending flush and retry timers (monitor stop/kill)."""
         self._stopped = True
-        for timer in self._timers.values():
+        for timer in [*self._timers.values(), *self._retry_timers]:
             timer.cancel()
         self._timers.clear()
+        self._retry_timers.clear()
 
     def stats(self) -> Dict[str, object]:
         """Counters for the self-exporter."""

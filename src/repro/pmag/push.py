@@ -30,7 +30,7 @@ from repro.errors import TsdbError
 from repro.net.http import HttpNetwork
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock, backoff_ns
 from repro.simkernel.rng import DeterministicRng
 
 #: Per-source idempotency window: how many recently accepted push keys
@@ -332,11 +332,9 @@ class PushClient:
             self.pushes_rejected += 1
             return False
         if attempt < self.max_retries:
-            delay_s = self.backoff_base_s * (2 ** attempt)
-            if self.backoff_jitter:
-                delay_s *= 1.0 + self.backoff_jitter * (2.0 * self._rng.random() - 1.0)
             self._clock.call_later(
-                int(delay_s * NANOS_PER_SEC),
+                backoff_ns(self.backoff_base_s, attempt, self.backoff_jitter,
+                           self._rng),
                 lambda: self._retry(line, attempt + 1),
             )
             return False

@@ -86,7 +86,7 @@ from repro.pmag.wal import (
     decode_label_block,
     encode_label_block,
 )
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock, backoff_ns
 from repro.simkernel.rng import DeterministicRng
 
 #: Port/path convention for the receiving endpoint (Prometheus uses
@@ -846,13 +846,10 @@ class RemoteWriteClient:
             self.bytes_shipped += len(body)
             return True
         if frame.attempts <= self.max_retries:
-            delay_s = self.backoff_base_s * (2 ** (frame.attempts - 1))
-            if self.backoff_jitter:
-                delay_s *= 1.0 + self.backoff_jitter * (
-                    2.0 * self._rng.random() - 1.0
-                )
             self._retry_timer = self._clock.call_later(
-                int(delay_s * NANOS_PER_SEC), self._retry
+                backoff_ns(self.backoff_base_s, frame.attempts - 1,
+                           self.backoff_jitter, self._rng),
+                self._retry,
             )
         else:
             # Out of retries this cadence: leave the frame queued (the

@@ -53,7 +53,7 @@ from repro.errors import TsdbError
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC, PeriodicTimer, VirtualClock
 from repro.trace import NOOP_TRACER
 
 DEFAULT_RULE_INTERVAL_NS = 15 * NANOS_PER_SEC
@@ -399,7 +399,7 @@ class RuleEvaluator:
         self._tsdb = tsdb
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._groups: List[RuleGroup] = []
-        self._timers = {}
+        self._timers: List[PeriodicTimer] = []
         self._running = False
         self.incremental = incremental
         self.wal = wal
@@ -486,23 +486,15 @@ class RuleEvaluator:
     def stop(self) -> None:
         """Stop periodic evaluation."""
         self._running = False
-        for timer in self._timers.values():
+        for timer in self._timers:
             timer.cancel()
         self._timers.clear()
 
     def _schedule(self, group: RuleGroup) -> None:
-        if not self._running:
-            return
-
         def tick() -> None:
-            if not self._running:
-                return
             self.samples_recorded += group.evaluate(
                 self._engine, self._tsdb, self._clock.now_ns,
                 tracer=self._tracer, incremental=self.incremental,
             )
-            self._timers[group.name] = self._clock.call_later(
-                group.interval_ns, tick
-            )
 
-        self._timers[group.name] = self._clock.call_later(group.interval_ns, tick)
+        self._timers.append(self._clock.every(group.interval_ns, tick))

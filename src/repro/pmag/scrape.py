@@ -53,7 +53,7 @@ from repro.openmetrics.registry import CollectorRegistry
 from repro.openmetrics.types import Exemplar
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock, backoff_ns
 from repro.simkernel.rng import DeterministicRng
 from repro.trace import NOOP_TRACER, TRACEPARENT_HEADER
 
@@ -163,7 +163,6 @@ class ScrapeManager:
         #: same trace instead of starting a fresh one.
         self._retry_contexts: Dict[ScrapeTarget, object] = {}
         self._timer = None
-        self._running = False
         # The scraper's own counters, as registered OpenMetrics families —
         # the ``teemon_self`` target serves this registry, which is what
         # makes ``rate(teemon_scrape_retries_total[1m])`` a real PromQL
@@ -570,12 +569,11 @@ class ScrapeManager:
         stream, and capped at one scrape interval so a retry can never
         land after the next scheduled cycle would have superseded it.
         """
-        delay_s = self.backoff_base_s * (2 ** attempt)
-        if self.backoff_jitter:
-            delay_s *= 1.0 + self.backoff_jitter * (
-                2.0 * self._backoff_rng.random() - 1.0
-            )
-        return min(int(delay_s * NANOS_PER_SEC), self.interval_ns)
+        return min(
+            backoff_ns(self.backoff_base_s, attempt, self.backoff_jitter,
+                       self._backoff_rng),
+            self.interval_ns,
+        )
 
     def _schedule_retry(self, target: ScrapeTarget, attempt: int) -> int:
         delay_ns = self.backoff_delay_ns(attempt)
@@ -666,24 +664,15 @@ class ScrapeManager:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin periodic scraping on the virtual clock."""
-        if self._running:
+        if self._timer is not None:
             raise TsdbError("scrape manager already running")
-        self._running = True
-        self._schedule_next()
+        self._timer = self._clock.every(
+            self.interval_ns, lambda: self.scrape_once()
+        )
 
     def stop(self) -> None:
         """Stop periodic scraping and cancel outstanding retries."""
-        self._running = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         self._cancel_all_retries()
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self._timer = self._clock.call_later(self.interval_ns, self._on_tick)
-
-    def _on_tick(self) -> None:
-        self.scrape_once()
-        self._schedule_next()

@@ -11,7 +11,6 @@ Modules:
 
 * :mod:`repro.pman.window` — sliding-window evaluation over the query engine;
 * :mod:`repro.pman.thresholds` — user-defined threshold rules;
-* :mod:`repro.pman.anomaly` — threshold + statistical (z-score/MAD) detectors;
 * :mod:`repro.pman.boxplot` — five-number summaries with outliers;
 * :mod:`repro.pman.alerts` — alert lifecycle (fire, dedup, resolve) and sinks;
 * :mod:`repro.pman.analyzer` — the periodic analysis loop tying it together,

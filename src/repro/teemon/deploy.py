@@ -73,7 +73,7 @@ from repro.pmv.dashboards import (
     build_infra_dashboard,
     build_sgx_dashboard,
 )
-from repro.simkernel.clock import NANOS_PER_SEC
+from repro.simkernel.clock import NANOS_PER_SEC, PeriodicTimer
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.kernel import Kernel
 from repro.teemon.config import TeemonConfig
@@ -163,12 +163,8 @@ class TeemonDeployment:
         self.exporters: Dict[str, Exporter] = {}
         self.services: Dict[str, ServiceProcess] = {}
         self._running = False
-        self._accounting_timer = None
-        self._wal_flush_timer = None
-        self._wal_checkpoint_timer = None
-        self._compaction_timer = None
-        self._anomaly_timer = None
-        self._remote_write_timer = None
+        #: The deployment's own periodic jobs, cancelled by stop()/kill().
+        self._timers: List[PeriodicTimer] = []
         #: Service-discovery sources registered via :meth:`add_discovery`.
         #: Substrate, not monitor memory: the cluster the callbacks watch
         #: outlives a monitor crash, so resurrection replays them onto the
@@ -504,11 +500,7 @@ class TeemonDeployment:
         if self._rules_active():
             self.rule_evaluator.start()
         self._running = True
-        self._schedule_service_accounting()
-        self._schedule_wal_maintenance()
-        self._schedule_compaction()
-        self._schedule_anomaly_detection()
-        self._schedule_remote_write()
+        self._schedule_maintenance()
 
     def add_discovery(self, discoverer) -> None:
         """Register a service-discovery source durably.
@@ -572,13 +564,9 @@ class TeemonDeployment:
         }
 
     def _cancel_maintenance_timers(self) -> None:
-        for attr in ("_accounting_timer", "_wal_flush_timer",
-                     "_wal_checkpoint_timer", "_compaction_timer",
-                     "_anomaly_timer", "_remote_write_timer"):
-            timer = getattr(self, attr)
-            if timer is not None:
-                timer.cancel()
-                setattr(self, attr, None)
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
 
     # ------------------------------------------------------------------
     # Crash and recovery
@@ -726,144 +714,73 @@ class TeemonDeployment:
         if seeds:
             manager.seed_counters(seeds)
 
-    def _schedule_wal_maintenance(self) -> None:
-        """Timed WAL flushes and checkpoints on the virtual clock.
+    def _schedule_maintenance(self) -> None:
+        """Arm the deployment's own periodic jobs, in this order.
 
-        The flush cadence (default: the scrape interval) is the loss
-        bound: a crash destroys at most the records appended since the
-        previous flush.  Flush timers are scheduled after the scrape
-        timer, so at a shared instant the cycle's samples land before the
-        flush that makes them durable.
+        * **Service accounting** (scrape cadence).  Exporters charge CPU
+          when they serve scrapes; the Prometheus, Grafana and PMAN
+          processes work continuously, so each tick charges each its
+          calibrated fraction — the CPU Figure 4 measures — and records
+          the PMAG's own query-cache counters (§4's "monitor the
+          monitor").
+        * **WAL flush and checkpoint.**  The flush cadence (default: the
+          scrape interval) is the loss bound: a crash destroys at most
+          the records appended since the previous flush.  Armed after
+          the scrape timer, so at a shared instant a cycle's samples
+          land before the flush that makes them durable.
+        * **Compaction** on the block-range cadence: the horizon only
+          moves when it crosses a block boundary.
+        * **Anomaly detection**, one baseline window per tick.
+        * **Remote write.**  The first tick lands at ``interval +
+          (priority + 2*tier) * stagger``: HA replicas with distinct
+          priorities never flush at the same instant, so the receiver's
+          first-frame-wins dedup has a deterministic winner, and relay
+          tiers flush after the tier below delivered.  Flushes trail the
+          scrape tick at a shared instant, so each cycle's samples are
+          ingested before the collect that ships them; the primary and
+          its mirrors flush back-to-back, primary first.
         """
-        if self.wal is None:
-            return
+        config = self.config
         clock = self.kernel.clock
-        flush_every_s = self.config.wal_flush_every_s
-        if flush_every_s is None:
-            flush_every_s = self.config.scrape_interval_s
-        flush_ns = int(flush_every_s * NANOS_PER_SEC)
-        checkpoint_ns = int(self.config.checkpoint_every_s * NANOS_PER_SEC)
 
-        def flush_tick() -> None:
-            if not self._running:
-                return
-            self.wal.flush()
-            self._wal_flush_timer = clock.call_later(flush_ns, flush_tick)
-
-        def checkpoint_tick() -> None:
-            if not self._running:
-                return
-            self.wal.checkpoint(self.tsdb)
-            self._wal_checkpoint_timer = clock.call_later(
-                checkpoint_ns, checkpoint_tick
+        def every(interval_s: float, fn, extra_ns: int = 0) -> None:
+            interval_ns = int(interval_s * NANOS_PER_SEC)
+            self._timers.append(
+                clock.every(interval_ns, fn, first_ns=interval_ns + extra_ns)
             )
 
-        self._wal_flush_timer = clock.call_later(flush_ns, flush_tick)
-        self._wal_checkpoint_timer = clock.call_later(
-            checkpoint_ns, checkpoint_tick
-        )
+        scrape_ns = int(config.scrape_interval_s * NANOS_PER_SEC)
 
-    def _schedule_compaction(self) -> None:
-        """Timed block compaction on the virtual clock.
-
-        Runs on the block-range cadence: the compaction horizon only
-        advances when it crosses a block boundary, so ticking faster
-        would just re-scan the head for nothing.
-        """
-        if self.config.downsample_after_s is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(self.config.block_range_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
-            self.tsdb.compact(clock.now_ns)
-            self._compaction_timer = clock.call_later(interval_ns, tick)
-
-        self._compaction_timer = clock.call_later(interval_ns, tick)
-
-    def _schedule_anomaly_detection(self) -> None:
-        """Timed anomaly-detection runs on the virtual clock.
-
-        Each tick is one baseline window: the detector takes the window
-        delta of every watched signal, compares it against the rolling
-        baseline and floors, journals detections and writes the
-        ``teemon_anomaly_*`` self-series the alerting rules watch.
-        """
-        if self.anomaly_detector is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(self.config.anomaly_interval_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
-            self.anomaly_detector.run(clock.now_ns)
-            self._anomaly_timer = clock.call_later(interval_ns, tick)
-
-        self._anomaly_timer = clock.call_later(interval_ns, tick)
-
-    def _schedule_remote_write(self) -> None:
-        """Timed remote-write flushes on the virtual clock.
-
-        The first tick lands at ``interval + (priority + 2*tier) *
-        stagger``: HA replicas configured with distinct priorities never
-        flush at the same instant, so the receiver's first-frame-wins
-        sample dedup has a deterministic winner (the priority-0
-        replica); relay tiers flush *after* the tier below delivered at
-        the shared instant, so in steady state each sample crosses each
-        tier exactly once.  Flush ticks trail the scrape tick at a
-        shared instant (scheduled later at deployment start), so each
-        cycle's samples are ingested before the collect that ships them.
-        The primary and its mirrors flush back-to-back on one tick
-        (primary first — its receiver is the HA pair's priority-0 side).
-        """
-        if self.remote_write_client is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(
-            self.config.remote_write_interval_s * NANOS_PER_SEC
-        )
-
-        def tick() -> None:
-            if not self._running:
-                return
-            for client in self._remote_write_clients():
-                client.flush(clock.now_ns)
-            self._remote_write_timer = clock.call_later(interval_ns, tick)
-
-        self._remote_write_timer = clock.call_later(
-            interval_ns + self.remote_write_client.stagger_offset_ns, tick
-        )
-
-    def _schedule_service_accounting(self) -> None:
-        """Charge the aggregation/visualisation services their CPU share.
-
-        Exporters charge CPU when they serve scrapes; the Prometheus,
-        Grafana and PMAN processes do their work continuously, so a
-        periodic tick charges each its calibrated fraction — this is the
-        CPU the Figure-4 experiment measures.  The same tick records the
-        PMAG's own query-plan-cache counters, per §4's "monitor the
-        monitor" discussion: the monitoring stack's internals are series
-        like any other.
-        """
-        interval_ns = int(self.config.scrape_interval_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
+        def account_services() -> None:
             for service in self.services.values():
                 if service.process.exited:
                     continue
                 thread = next(iter(service.process.threads.values()))
                 self.kernel.scheduler.account_cpu_time(
-                    thread, int(interval_ns * service.footprint.cpu_fraction)
+                    thread, int(scrape_ns * service.footprint.cpu_fraction)
                 )
-            self._record_self_metrics(self.kernel.clock.now_ns)
-            self._accounting_timer = self.kernel.clock.call_later(interval_ns, tick)
+            self._record_self_metrics(clock.now_ns)
 
-        self._accounting_timer = self.kernel.clock.call_later(interval_ns, tick)
+        def flush_uplinks() -> None:
+            for client in self._remote_write_clients():
+                client.flush(clock.now_ns)
+
+        every(config.scrape_interval_s, account_services)
+        if self.wal is not None:
+            flush_every_s = config.wal_flush_every_s
+            if flush_every_s is None:
+                flush_every_s = config.scrape_interval_s
+            every(flush_every_s, lambda: self.wal.flush())
+            every(config.checkpoint_every_s,
+                  lambda: self.wal.checkpoint(self.tsdb))
+        if config.downsample_after_s is not None:
+            every(config.block_range_s, lambda: self.tsdb.compact(clock.now_ns))
+        if self.anomaly_detector is not None:
+            every(config.anomaly_interval_s,
+                  lambda: self.anomaly_detector.run(clock.now_ns))
+        if self.remote_write_client is not None:
+            every(config.remote_write_interval_s, flush_uplinks,
+                  self.remote_write_client.stagger_offset_ns)
 
     def _record_self_metrics(self, now_ns: int) -> None:
         """Append the PMAG's query-cache statistics as ``pmag_query_cache_*``."""

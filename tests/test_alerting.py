@@ -297,6 +297,30 @@ def test_routing_tree_first_matching_child_wins():
     assert "tickets" not in delivered
 
 
+def test_routing_tree_continue_also_consults_later_siblings():
+    clock = VirtualClock()
+    receivers = [Receiver("default"), Receiver("audit"), Receiver("pages")]
+    route = Route(receiver="default", routes=(
+        Route(receiver="audit", continue_=True),
+        Route(receiver="pages", match=(("severity", "page"),)),
+    ))
+    router, journal = make_router(clock, receivers=receivers, route=route)
+    fire(router, clock, name="A", severity="page")
+    clock.advance(seconds(1))
+    delivered = "\n".join(journal.lines("notify-delivered"))
+    assert "audit" in delivered and "pages" in delivered
+    assert "default" not in delivered
+
+
+def test_router_rejects_duplicate_receiver():
+    clock = VirtualClock()
+    with pytest.raises(TsdbError):
+        NotificationRouter(
+            clock, HttpNetwork(), Route(receiver="pager"),
+            [Receiver("pager"), Receiver("pager")],
+        )
+
+
 def test_router_rejects_route_with_unknown_receiver():
     clock = VirtualClock()
     with pytest.raises(TsdbError):
@@ -322,6 +346,23 @@ def test_silenced_alert_is_not_delivered_until_silence_expires():
     # The muted group keeps re-checking; after expiry it delivers.
     clock.advance(seconds(60))
     assert len(journal.lines("notify-delivered")) == 1
+
+
+def test_resolved_notification_is_sent_even_while_silenced():
+    clock = VirtualClock()
+    silences = SilenceStore([Silence(
+        match={"alertname": "X"}, start_ns=0, end_ns=seconds(600),
+    )])
+    router, journal = make_router(clock, silences=silences, route=Route(
+        receiver="pager", group_interval_s=5.0,
+    ))
+    instance = fire(router, clock)
+    clock.advance(seconds(10))
+    assert journal.lines("notify-delivered") == []
+    router.handle([("resolved", instance)], clock.now_ns)
+    clock.advance(seconds(10))
+    delivered = journal.lines("notify-delivered")
+    assert len(delivered) == 1 and "firing=0 resolved=1" in delivered[0]
 
 
 def test_inhibited_alert_is_suppressed_and_counted():
@@ -368,6 +409,28 @@ def test_webhook_receiver_retries_then_succeeds():
     assert len(journal.lines("notify-delivered")) == 1
     assert router.counters[("hook", "retry")] == 2
     assert router.counters[("hook", "delivered")] == 1
+
+
+def test_webhook_receiver_posts_one_line_per_grouped_alert():
+    clock = VirtualClock()
+    network = HttpNetwork()
+    inbox = []
+    endpoint = network.register("chat", 8080, "/hook", lambda: "")
+    endpoint.post_handler = lambda body: (inbox.append(body), "ok")[1]
+    router, journal = make_router(
+        clock, network=network,
+        receivers=[Receiver("chat", url="http://chat:8080/hook")],
+        route=Route(receiver="chat", group_interval_s=5.0),
+    )
+    instance = fire(router, clock, instance="sgx-host")
+    clock.advance(seconds(1))
+    router.handle([("resolved", instance)], clock.now_ns)
+    clock.advance(seconds(10))
+    assert inbox == [
+        "firing alertname=X,instance=sgx-host",
+        "resolved alertname=X,instance=sgx-host",
+    ]
+    assert router.counters[("chat", "delivered")] == 2
 
 
 def test_webhook_receiver_fails_after_retry_budget():

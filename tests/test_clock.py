@@ -6,10 +6,12 @@ from repro.errors import SimulationError
 from repro.simkernel.clock import (
     NANOS_PER_SEC,
     VirtualClock,
+    backoff_ns,
     micros,
     millis,
     seconds,
 )
+from repro.simkernel.rng import DeterministicRng
 
 
 def test_starts_at_zero():
@@ -172,3 +174,101 @@ def test_nested_scheduling_within_advance_window():
                                clock.call_at(20, lambda: order.append("inner"))))
     clock.advance(30)
     assert order == ["outer", "inner"]
+
+
+# ---------------------------------------------------------------------------
+# Periodic timers
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("first_ns, expected", [
+    (3, [3, 13, 23, 33]),
+    (None, [10, 20, 30]),  # default: one interval from now
+])
+def test_every_fires_at_first_then_each_interval(first_ns, expected):
+    clock = VirtualClock()
+    fired = []
+    clock.every(10, lambda: fired.append(clock.now_ns), first_ns=first_ns)
+    clock.advance(35)
+    assert fired == expected
+
+
+def test_timer_scheduled_by_tick_for_next_instant_runs_first():
+    clock = VirtualClock()
+    order = []
+
+    def tick():
+        order.append(("tick", clock.now_ns))
+        clock.call_later(10, lambda: order.append(("one-shot", clock.now_ns)))
+
+    clock.every(10, tick)
+    clock.advance(20)
+    assert order == [("tick", 10), ("one-shot", 20), ("tick", 20)]
+
+
+def test_first_armed_periodic_timer_fires_first_at_shared_instant():
+    clock = VirtualClock()
+    order = []
+    clock.every(10, lambda: order.append("a"))
+    clock.every(5, lambda: order.append("b"), first_ns=10)
+    clock.advance(20)
+    assert order == ["a", "b", "b", "a", "b"]
+
+
+def test_cancel_inside_tick_stops_rearming():
+    clock = VirtualClock()
+    fired = []
+
+    def tick():
+        fired.append(clock.now_ns)
+        if len(fired) == 2:
+            timer.cancel()
+
+    timer = clock.every(10, tick)
+    clock.advance(100)
+    assert fired == [10, 20]
+    assert clock.pending_count() == 0
+
+
+def test_cancel_outside_tick_stops_timer():
+    clock = VirtualClock()
+    fired = []
+    timer = clock.every(10, lambda: fired.append(clock.now_ns))
+    clock.advance(15)
+    timer.cancel()
+    timer.cancel()
+    clock.advance(100)
+    assert fired == [10]
+    assert clock.pending_count() == 0
+
+
+@pytest.mark.parametrize("interval", [0, -1])
+def test_every_rejects_non_positive_interval(interval):
+    with pytest.raises(SimulationError):
+        VirtualClock().every(interval, lambda: None)
+
+
+# ---------------------------------------------------------------------------
+# Backoff
+# ---------------------------------------------------------------------------
+def _inline_backoff_ns(base_s, attempt, jitter, rng):
+    """The formula each retrying client used to carry inline."""
+    delay_s = base_s * (2 ** attempt)
+    if jitter:
+        delay_s *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+    return int(delay_s * NANOS_PER_SEC)
+
+
+def test_backoff_matches_inline_formula_bit_for_bit():
+    shared, inline = DeterministicRng(7), DeterministicRng(7)
+    for base_s in (0.05, 0.25, 1.0):
+        for attempt in range(6):
+            for jitter in (0.0, 0.1, 0.5, 1.0):
+                assert backoff_ns(base_s, attempt, jitter, shared) == (
+                    _inline_backoff_ns(base_s, attempt, jitter, inline)
+                )
+    assert shared.random() == inline.random()
+
+
+def test_backoff_without_jitter_leaves_rng_untouched():
+    rng, control = DeterministicRng(11), DeterministicRng(11)
+    assert backoff_ns(0.5, 3, 0.0, rng) == 4 * NANOS_PER_SEC
+    assert rng.random() == control.random()

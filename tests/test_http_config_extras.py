@@ -1,14 +1,17 @@
-"""Tests: HTTP POST, webhook sink, eBPF config file, scrape metadata."""
-
-import json
+"""Tests: HTTP POST, webhook receiver, eBPF config file, scrape metadata."""
 
 import pytest
 
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
 from repro.net.http import HttpNetwork
+from repro.pmag.alerting import (
+    NotificationRouter,
+    Receiver,
+    Route,
+    STATE_FIRING,
+)
+from repro.pmag.alerting.state import AlertInstance
 from repro.pmag.model import Labels
-from repro.pman.alerts import Alert, AlertManager, AlertSeverity
-from repro.pman.routing import Route, Router, webhook_sink
 from repro.simkernel.clock import VirtualClock, seconds
 
 
@@ -44,40 +47,23 @@ def test_post_unknown_404_and_error_500():
 
 
 # ---------------------------------------------------------------------------
-# Webhook sink
+# Webhook receiver
 # ---------------------------------------------------------------------------
-def test_webhook_sink_delivers_json_payloads():
-    net = HttpNetwork()
-    inbox = []
-    endpoint = net.register("chat", 8080, "/hook", lambda: "")
-    endpoint.post_handler = lambda body: (inbox.append(json.loads(body)), "ok")[1]
-
-    clock = VirtualClock()
-    manager = AlertManager()
-    router = Router()
-    router.add_route(Route("chat", sinks=[
-        webhook_sink(net, "http://chat:8080/hook")
-    ]))
-    manager.add_sink(router.sink(clock))
-
-    labels = Labels.of("alert", instance="sgx-host")
-    manager.fire("EpcEvictionPressure", labels, AlertSeverity.CRITICAL,
-                 "EPC under pressure", now_ns=5)
-    manager.resolve("EpcEvictionPressure", labels, now_ns=9)
-    assert [m["event"] for m in inbox] == ["fire", "resolve"]
-    assert inbox[0]["alert"] == "EpcEvictionPressure"
-    assert inbox[0]["severity"] == "critical"
-    assert inbox[0]["labels"]["instance"] == "sgx-host"
-    assert inbox[1]["resolved_at_ns"] == 9
-
-
 def test_webhook_failures_counted_not_raised():
+    clock = VirtualClock()
     net = HttpNetwork()  # no receiver registered: 404s
-    sink = webhook_sink(net, "http://nowhere:80/hook")
-    alert = Alert(name="R", labels=Labels.of("a"),
-                  severity=AlertSeverity.INFO, message="m", fired_at_ns=0)
-    sink(alert, "fire")
-    assert sink.failed == 1 and sink.delivered == 0
+    router = NotificationRouter(
+        clock, net, Route(receiver="hook"),
+        [Receiver("hook", url="http://nowhere:80/hook")], max_retries=0,
+    )
+    inst = AlertInstance(
+        labels=Labels({"alertname": "R"}), active_since_ns=0,
+        state=STATE_FIRING, value=1.0,
+    )
+    router.handle([("pending", inst), ("firing", inst)], clock.now_ns)
+    clock.advance(seconds(1))
+    assert router.counters[("hook", "failed")] == 1
+    assert ("hook", "delivered") not in router.counters
 
 
 # ---------------------------------------------------------------------------

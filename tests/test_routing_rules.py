@@ -1,144 +1,25 @@
-"""Tests for alert routing/silences and PMAG recording rules."""
+"""Tests for PMAG recording rules and alert routing/silences."""
 
 import pytest
 
-from repro.errors import AnalysisError, TsdbError
-from repro.pmag.model import Labels, Matcher
+from repro.errors import TsdbError
+from repro.net.http import HttpNetwork
+from repro.pmag.alerting import (
+    AlertJournal,
+    NotificationRouter,
+    Receiver,
+    Route,
+    Silence,
+    SilenceStore,
+    STATE_FIRING,
+)
+from repro.pmag.alerting.state import AlertInstance
+from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
 from repro.pmag.tsdb import Tsdb
-from repro.pman.alerts import Alert, AlertManager, AlertSeverity
-from repro.pman.routing import Route, Router, Silence, SilenceRegistry
 from repro.simkernel.clock import VirtualClock, seconds
-
-
-def _alert(severity=AlertSeverity.WARNING, **labels):
-    return Alert(
-        name="R", labels=Labels.of("alert", **labels), severity=severity,
-        message="m", fired_at_ns=0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Routes
-# ---------------------------------------------------------------------------
-def test_route_by_min_severity():
-    pages, logs = [], []
-    router = Router()
-    router.add_route(Route("pager", sinks=[lambda a, e: pages.append(a)],
-                           min_severity=AlertSeverity.CRITICAL))
-    router.add_route(Route("log", sinks=[lambda a, e: logs.append(a)]))
-    router.dispatch(_alert(AlertSeverity.WARNING), "fire", now_ns=0)
-    router.dispatch(_alert(AlertSeverity.CRITICAL, host="x"), "fire", now_ns=0)
-    assert len(pages) == 1
-    assert len(logs) == 1  # warning fell through to the catch-all
-
-
-def test_route_by_label_matchers():
-    sgx_alerts = []
-    router = Router()
-    router.add_route(Route(
-        "sgx-team", sinks=[lambda a, e: sgx_alerts.append(a)],
-        matchers=[Matcher.regex("instance", "sgx-.*")],
-    ))
-    router.dispatch(_alert(instance="sgx-host-1"), "fire", 0)
-    router.dispatch(_alert(instance="plain-host"), "fire", 0)
-    assert len(sgx_alerts) == 1
-    assert len(router.unrouted) == 1
-
-
-def test_route_continue_matching():
-    first, second = [], []
-    router = Router()
-    router.add_route(Route("audit", sinks=[lambda a, e: first.append(a)],
-                           continue_matching=True))
-    router.add_route(Route("main", sinks=[lambda a, e: second.append(a)]))
-    router.dispatch(_alert(), "fire", 0)
-    assert len(first) == 1 and len(second) == 1
-
-
-def test_first_match_wins_without_continue():
-    first, second = [], []
-    router = Router()
-    router.add_route(Route("a", sinks=[lambda a, e: first.append(a)]))
-    router.add_route(Route("b", sinks=[lambda a, e: second.append(a)]))
-    router.dispatch(_alert(), "fire", 0)
-    assert len(first) == 1 and len(second) == 0
-
-
-def test_duplicate_route_name_rejected():
-    router = Router()
-    router.add_route(Route("a"))
-    with pytest.raises(AnalysisError):
-        router.add_route(Route("a"))
-
-
-# ---------------------------------------------------------------------------
-# Silences
-# ---------------------------------------------------------------------------
-def test_silence_suppresses_fire_in_window():
-    delivered = []
-    router = Router()
-    router.add_route(Route("all", sinks=[lambda a, e: delivered.append(e)]))
-    router.silences.add(Silence(
-        matchers=[Matcher.eq("instance", "maint-host")],
-        starts_at_ns=100, ends_at_ns=200,
-    ))
-    alert = _alert(instance="maint-host")
-    assert router.dispatch(alert, "fire", now_ns=150) == []
-    assert router.dispatch(alert, "fire", now_ns=250) == ["all"]
-    assert router.silences.suppressed_count == 1
-    assert delivered == ["fire"]
-
-
-def test_silence_does_not_block_resolve():
-    delivered = []
-    router = Router()
-    router.add_route(Route("all", sinks=[lambda a, e: delivered.append(e)]))
-    router.silences.add(Silence(
-        matchers=[Matcher.eq("instance", "h")], starts_at_ns=0, ends_at_ns=1000,
-    ))
-    router.dispatch(_alert(instance="h"), "resolve", now_ns=500)
-    assert delivered == ["resolve"]
-
-
-def test_silence_only_matching_labels():
-    registry = SilenceRegistry()
-    registry.add(Silence(
-        matchers=[Matcher.eq("instance", "a")], starts_at_ns=0, ends_at_ns=100,
-    ))
-    assert registry.silenced(_alert(instance="a"), 50)
-    assert not registry.silenced(_alert(instance="b"), 50)
-
-
-def test_silence_expire_early():
-    registry = SilenceRegistry()
-    silence = registry.add(Silence(
-        matchers=[Matcher.eq("instance", "a")], starts_at_ns=0, ends_at_ns=10_000,
-    ))
-    registry.expire(silence, now_ns=100)
-    assert not registry.silenced(_alert(instance="a"), 200)
-
-
-def test_silence_validation():
-    with pytest.raises(AnalysisError):
-        Silence(matchers=[Matcher.eq("a", "b")], starts_at_ns=10, ends_at_ns=10)
-    with pytest.raises(AnalysisError):
-        Silence(matchers=[], starts_at_ns=0, ends_at_ns=10)
-
-
-def test_router_integrates_with_alert_manager():
-    clock = VirtualClock()
-    manager = AlertManager()
-    critical = []
-    router = Router()
-    router.add_route(Route("pager", sinks=[lambda a, e: critical.append((a, e))],
-                           min_severity=AlertSeverity.CRITICAL))
-    manager.add_sink(router.sink(clock))
-    labels = Labels.of("alert", instance="h")
-    manager.fire("Rule", labels, AlertSeverity.CRITICAL, "bad", now_ns=0)
-    manager.resolve("Rule", labels, now_ns=5)
-    assert [e for _, e in critical] == ["fire", "resolve"]
+from repro.simkernel.rng import DeterministicRng
 
 
 # ---------------------------------------------------------------------------
@@ -238,3 +119,81 @@ def test_evaluator_duplicate_group_rejected():
     evaluator.add_group(RuleGroup("g", [RecordingRule("a:b", "x")]))
     with pytest.raises(TsdbError):
         evaluator.add_group(RuleGroup("g", [RecordingRule("c:d", "y")]))
+
+
+# ---------------------------------------------------------------------------
+# Routes
+# ---------------------------------------------------------------------------
+def _router(clock, route, receivers, silences=None):
+    journal = AlertJournal()
+    router = NotificationRouter(
+        clock, HttpNetwork(), route, receivers,
+        rng=DeterministicRng(3), journal=journal, silences=silences,
+    )
+    return router, journal
+
+
+def _fire(router, clock, **labels):
+    inst = AlertInstance(
+        labels=Labels({"alertname": "R", **labels}),
+        active_since_ns=clock.now_ns, state=STATE_FIRING, value=1.0,
+    )
+    router.handle([("pending", inst), ("firing", inst)], clock.now_ns)
+
+
+def test_first_match_wins_without_continue():
+    clock = VirtualClock()
+    route = Route(receiver="root", routes=(Route(receiver="a"),
+                                           Route(receiver="b")))
+    router, journal = _router(
+        clock, route, [Receiver("root"), Receiver("a"), Receiver("b")],
+    )
+    _fire(router, clock)
+    clock.advance(seconds(1))
+    delivered = journal.lines("notify-delivered")
+    assert len(delivered) == 1 and " a " in f" {delivered[0]} "
+    assert router.counters.get(("a", "delivered")) == 1
+    assert ("b", "delivered") not in router.counters
+    assert ("root", "delivered") not in router.counters
+
+
+# ---------------------------------------------------------------------------
+# Silences
+# ---------------------------------------------------------------------------
+def test_silence_suppresses_fire_in_window():
+    clock = VirtualClock()
+    silences = SilenceStore([Silence(
+        match={"instance": "maint-host"},
+        start_ns=seconds(100), end_ns=seconds(200),
+    )])
+    router, journal = _router(
+        clock, Route(receiver="all", group_interval_s=10.0),
+        [Receiver("all")], silences=silences,
+    )
+    clock.advance(seconds(150))
+    _fire(router, clock, instance="maint-host")
+    clock.advance(seconds(1))
+    assert journal.lines("notify-delivered") == []
+    assert router.counters[("all", "silenced")] == 1
+    clock.advance(seconds(60))  # past the window's end at t=200s
+    assert len(journal.lines("notify-delivered")) == 1
+    assert router.counters[("all", "silenced")] == 1
+
+
+def test_silence_only_matching_labels():
+    store = SilenceStore([Silence(
+        match={"instance": "a"}, start_ns=0, end_ns=100,
+    )])
+    assert store.covering(Labels({"alertname": "R", "instance": "a"}), 50)
+    assert store.covering(
+        Labels({"alertname": "R", "instance": "b"}), 50
+    ) is None
+
+
+def test_silence_validation():
+    with pytest.raises(TsdbError):
+        Silence(match={"a": "b"}, start_ns=10, end_ns=10)
+    with pytest.raises(TsdbError):
+        Silence(match={"a": "b"}, start_ns=10, end_ns=5)
+    with pytest.raises(TsdbError):
+        Silence(match={}, start_ns=0, end_ns=10)
