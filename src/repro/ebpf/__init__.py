@@ -7,7 +7,8 @@ that the exporter's programs are *actual programs*: register bytecode
 (:mod:`repro.ebpf.stdlib`), checked by a static verifier that enforces the
 classic eBPF safety rules — bounded size, no back-edges, no reads of
 uninitialised registers, no unchecked division
-(:mod:`repro.ebpf.verifier`) — executed by an interpreter
+(:mod:`repro.ebpf.verifier`) — compiled once at load into threaded
+code, one closure per instruction, the BPF JIT's role
 (:mod:`repro.ebpf.vm`), and communicating with user space exclusively
 through BPF maps (:mod:`repro.ebpf.maps`).
 

@@ -62,9 +62,12 @@ class EbpfRuntime:
 
         Verification failure raises
         :class:`~repro.errors.VerifierError` and nothing is attached,
-        mirroring the kernel's load-time rejection.
+        mirroring the kernel's load-time rejection.  The verified
+        program is then compiled (the BPF JIT's step), so a compile
+        fault (:class:`~repro.errors.VmFault`) also surfaces here.
         """
         verify(program)
+        program.compiled  # noqa: B018 - compile at load, as the kernel JITs
         for fd in program.map_fds:
             self.maps.get(fd)  # raises MapError on dangling fds
         attachment = ProgramAttachment(program=program, hook=hook, handle=None)  # type: ignore[arg-type]

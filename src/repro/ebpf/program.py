@@ -19,6 +19,7 @@ parsing::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EbpfError
@@ -35,6 +36,18 @@ class Program:
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    @cached_property
+    def compiled(self):
+        """This program compiled to one Python function, built on first use.
+
+        See :func:`repro.ebpf.vm.compile_program`.  The cache lives in
+        the instance ``__dict__``, outside the dataclass fields, so
+        equality and hashing are unchanged.
+        """
+        from repro.ebpf.vm import compile_program  # vm imports this module
+
+        return compile_program(self)
 
     def disassemble(self) -> str:
         """Human-readable listing."""

@@ -77,24 +77,28 @@ def verify(program: Program) -> None:
 
     declared_fds = set(program.map_fds)
 
+    def where(index: int) -> str:
+        # Built only for a rejection: rendering every instruction's
+        # mnemonic up front would dominate loading a program that passes.
+        return f"{program.name}:{index} ({instructions[index].mnemonic()})"
+
     # Structural checks per instruction.
     for index, instruction in enumerate(instructions):
-        where = f"{program.name}:{index} ({instruction.mnemonic()})"
         if instruction.is_jump():
             if instruction.offset < 0:
-                raise VerifierError(f"{where}: backward jump (loops are not allowed)")
+                raise VerifierError(f"{where(index)}: backward jump (loops are not allowed)")
             target = index + 1 + instruction.offset
             if target > length:
-                raise VerifierError(f"{where}: jump out of bounds to {target}")
+                raise VerifierError(f"{where(index)}: jump out of bounds to {target}")
         if instruction.opcode is Opcode.DIV_IMM and instruction.imm == 0:
-            raise VerifierError(f"{where}: division by zero immediate")
+            raise VerifierError(f"{where(index)}: division by zero immediate")
         if instruction.opcode is Opcode.CALL:
             if instruction.helper is None:
-                raise VerifierError(f"{where}: call without a helper")
+                raise VerifierError(f"{where(index)}: call without a helper")
             if instruction.helper not in HELPER_READS:
-                raise VerifierError(f"{where}: unknown helper {instruction.helper}")
+                raise VerifierError(f"{where(index)}: unknown helper {instruction.helper}")
         if instruction.opcode is Opcode.LD_CTX and not instruction.field:
-            raise VerifierError(f"{where}: LD_CTX without a field name")
+            raise VerifierError(f"{where(index)}: LD_CTX without a field name")
 
     # Every path must reach EXIT before running off the end: the last
     # reachable fall-through instruction must be EXIT or an unconditional
@@ -123,7 +127,6 @@ def verify(program: Program) -> None:
         # on every incoming path.
         initialised = frozenset.intersection(*incoming[index])
         instruction = instructions[index]
-        where = f"{program.name}:{index} ({instruction.mnemonic()})"
 
         reads: Set[Reg] = set()
         if instruction.opcode in SRC_READING_OPS and instruction.src is not None:
@@ -136,7 +139,7 @@ def verify(program: Program) -> None:
             reads.add(Reg.R0)
         for reg in reads:
             if reg not in initialised:
-                raise VerifierError(f"{where}: reads uninitialised register r{int(reg)}")
+                raise VerifierError(f"{where(index)}: reads uninitialised register r{int(reg)}")
 
         out = set(initialised)
         if instruction.opcode in DST_WRITING_OPS and instruction.dst is not None:

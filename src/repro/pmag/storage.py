@@ -129,8 +129,9 @@ class ShardedTsdb(StorageEngine):
         #: Route cache: label set -> shard *index* (not shard object, so
         #: :meth:`adopt_shard` replacing a shard keeps it valid).  The
         #: mapping is a pure function of the labels and the shard count,
-        #: so entries never go stale — the cache only grows, bounded by
-        #: the distinct label sets seen, like the postings index.
+        #: so entries never go stale; retention churn leaves entries for
+        #: dropped series, so each batch append clears the cache once it
+        #: holds more than twice the live series (:meth:`_route_cache`).
         self._fingerprints: Dict[Labels, int] = {}
         self._executor: Optional[ThreadPoolExecutor] = None
         self.configure_executor(executor_workers)
@@ -170,6 +171,13 @@ class ShardedTsdb(StorageEngine):
         if executor is None:
             return [fn(shard) for shard in self._shards]
         return list(executor.map(fn, self._shards))
+
+    def _route_cache(self) -> Dict[Labels, int]:
+        """The route cache, cleared first if it outgrew the live series."""
+        cache = self._fingerprints
+        if len(cache) > 2 * self.series_count():
+            cache.clear()
+        return cache
 
     def _route(self, labels: Labels) -> Tsdb:
         index = self._fingerprints.get(labels)
@@ -248,7 +256,7 @@ class ShardedTsdb(StorageEngine):
         """
         shards = self._shards
         count = len(shards)
-        cache = self._fingerprints
+        cache = self._route_cache()
         buckets: List[Optional[list]] = [None] * count
         for entry in entries:
             labels = entry[0]
@@ -304,7 +312,7 @@ class ShardedTsdb(StorageEngine):
         """
         shards = self._shards
         count = len(shards)
-        cache = self._fingerprints
+        cache = self._route_cache()
         buckets: List[Optional[list]] = [None] * count
         for fingerprint, labels, samples in blocks:
             index = cache.get(labels)

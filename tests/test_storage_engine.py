@@ -188,6 +188,41 @@ def test_delete_and_retention_fan_out():
     assert sharded.select([], 0, now_ns) == mono.select([], 0, now_ns)
 
 
+class _UnboundedRoutes(ShardedTsdb):
+    """The route cache as it was before it was bounded: it only grows."""
+
+    def _route_cache(self):
+        return self._fingerprints
+
+
+def test_route_cache_stays_bounded_under_retention_churn():
+    bounded = ShardedTsdb(4, retention_ns=seconds(60))
+    unbounded = _UnboundedRoutes(4, retention_ns=seconds(60))
+    for cycle in range(1, 80):
+        now_ns = cycle * seconds(10)
+        # Every 30 s a new generation of 8 pods replaces the last.
+        labels = [Labels.of("churn", pod=f"{cycle // 3}-{i}") for i in range(8)]
+        for engine in (bounded, unbounded):
+            if cycle % 2:
+                engine.append_batch(
+                    [(lab, now_ns, float(cycle)) for lab in labels]
+                )
+            else:
+                engine.append_fingerprinted([
+                    (series_fingerprint(lab), lab, [(now_ns, float(cycle))])
+                    for lab in labels
+                ])
+            engine.enforce_retention(now_ns)
+        assert len(bounded._fingerprints) <= 2 * bounded.series_count() + len(labels)
+    assert bounded.series_count() == unbounded.series_count() < 40
+    assert len(unbounded._fingerprints) == 8 * (79 // 3 + 1)
+    for k in range(4):
+        assert bounded.shard(k).select([], 0, now_ns) == unbounded.shard(k).select(
+            [], 0, now_ns
+        )
+    assert snapshot(bounded) == snapshot(unbounded)
+
+
 # ---------------------------------------------------------------------------
 # Chaos parity: shard count is invisible to the pipeline
 # ---------------------------------------------------------------------------
